@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 
+#include "base/thread_pool.hh"
 #include "par/thread_comm.hh"
 
 using namespace tdfe;
@@ -103,8 +104,10 @@ main(int argc, char **argv)
     }
 
     banner("Table III: execution time and in-situ overhead",
-           "sizes shown in header; ranks are thread-emulated on one "
-           "core (no parallel speedup expected)");
+           "sizes shown in header; ranks are thread-emulated and "
+           "share one " +
+               std::to_string(globalThreadCount()) +
+               "-thread pool");
 
     std::vector<std::string> header{"Ranks"};
     for (const auto s : sizes) {

@@ -12,6 +12,7 @@
 
 #include "bench/bench_common.hh"
 
+#include "base/thread_pool.hh"
 #include "par/thread_comm.hh"
 #include "wdmerger/runner.hh"
 
@@ -66,7 +67,8 @@ main(int argc, char **argv)
 
     banner("Table VII: Orig / No-stop / Stop, overhead and "
            "acceleration",
-           "ranks are thread-emulated on one core");
+           "ranks are thread-emulated and share one " +
+               std::to_string(globalThreadCount()) + "-thread pool");
 
     std::vector<std::string> header{"Ranks x OMP"};
     for (const auto res : resolutions) {

@@ -20,6 +20,37 @@
  *     fits in a single chunk, the body runs inline on the caller
  *     with no locking, allocation, or wake-ups, keeping
  *     single-thread performance at parity with plain loops.
+ *  4. Cheap dispatch (spin-then-park). Solver kernels issue a
+ *     parallel region every few microseconds and the async Region
+ *     and store hand work over once per iteration, so a futex wake
+ *     per job would sit on the caller's critical path. The wake
+ *     protocol avoids it:
+ *      - Spin window. An idle worker first spins on the atomic
+ *        queued-job count (`queued`) for a short, time-bounded
+ *        window (tens of microseconds; CPU pause instructions in the
+ *        first half, yields in the second) and only then parks on
+ *        the condition variable. Dispatch gaps shorter than the
+ *        window never reach the kernel.
+ *      - Lost-race re-spin. A worker that saw `queued > 0` but found
+ *        the queue already drained under the mutex (another helper
+ *        took and unlinked the job) goes back to spinning with a
+ *        fresh window instead of parking: the pool is evidently
+ *        busy, and parking there would make the next submit pay a
+ *        wake after all.
+ *      - Sleeper-gated notify. A worker parks only after counting
+ *        itself in `sleepers` and re-checking the queue under the
+ *        mutex; enqueue() pushes under the same mutex and notifies
+ *        only when that count is non-zero, so a wake is never lost
+ *        and never paid for spinning workers. The notify claims the
+ *        counted sleepers (resets the count), so a burst of submits
+ *        pays one wake, not one per submit while the woken workers
+ *        are still being scheduled. A woken worker that finds the
+ *        queue drained re-spins like a lost race. The queued count
+ *        is published after the mutex is released, so a spinner
+ *        that sees it never blocks on the submitter's lock.
+ *     Parks and wakes are counted (`pool.parks_total`,
+ *     `pool.wakes_total`) on the slow path only, so a metrics run
+ *     shows whether the window covers a workload's dispatch gaps.
  *
  * The process-wide pool (`ThreadPool::global()`) is sized from the
  * `TDFE_NUM_THREADS` environment variable, falling back to the
@@ -34,6 +65,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -137,10 +169,13 @@ class ThreadPool
     void joinWorkers();
     void workerLoop();
 
+    /** Drop @p job from the queue if no other helper has already. */
+    void unlink(const std::shared_ptr<Job> &job);
+
     /** Claim and run chunks of @p job until the cursor is spent. */
     static void helpWith(Job &job);
 
-    /** Push @p job onto the queue and wake the workers. */
+    /** Push @p job onto the queue; notify only if a worker parked. */
     void enqueue(const std::shared_ptr<Job> &job);
 
     /** Help with @p job, unlink it from the queue, await stragglers. */
@@ -152,12 +187,22 @@ class ThreadPool
     std::mutex mtx;
     std::condition_variable cv;
     std::deque<std::shared_ptr<Job>> pending;
-    bool shutdown = false;
+    /** Workers parked on `cv` that no notify has claimed yet, and
+     *  the number of notifies issued (both guarded by `mtx`). */
+    int sleepers = 0;
+    std::uint64_t wakeups = 0;
+    /** Jobs in `pending`, readable without the mutex: incremented
+     *  after enqueue() unlocks, decremented under the mutex by
+     *  unlink(), so it may dip below zero for an instant. */
+    std::atomic<long> queued{0};
+    /** Written under `mtx`; atomic so spinners see it unlocked. */
+    std::atomic<bool> shutdown{false};
 };
 
 /**
  * Thread count requested by the environment: TDFE_NUM_THREADS when
- * set (clamped to >= 1), otherwise the hardware concurrency.
+ * it is a positive integer with nothing after the digits, otherwise
+ * (with a warning if it was set) the hardware concurrency.
  */
 int configuredThreadCount();
 

@@ -261,11 +261,15 @@ void
 encodeIntColumn(const std::int64_t *vals, std::size_t n,
                 std::vector<std::uint8_t> &out)
 {
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
         // First value deltas against 0, so one code path covers all.
-        putVarint(out, zigzagEncode(vals[i] - prev));
-        prev = vals[i];
+        // The delta wraps in unsigned arithmetic (defined, and the
+        // exact inverse of the decoder's accumulation) instead of
+        // overflowing int64_t on far-apart values.
+        const auto v = static_cast<std::uint64_t>(vals[i]);
+        putVarint(out, zigzagEncode(static_cast<std::int64_t>(v - prev)));
+        prev = v;
     }
 }
 
@@ -297,15 +301,14 @@ encodeIntColumnDict(const std::int64_t *vals, std::size_t n,
     dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
 
     putVarint(out, dict.size());
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < dict.size(); ++i) {
         // First entry zigzags against 0; later ones store the
-        // (positive, sorted) gap to the previous entry.
-        putVarint(out, i == 0
-                           ? zigzagEncode(dict[0])
-                           : static_cast<std::uint64_t>(
-                                 dict[i] - prev));
-        prev = dict[i];
+        // (positive, sorted) gap to the previous entry, computed in
+        // unsigned so a gap wider than INT64_MAX cannot overflow.
+        const auto v = static_cast<std::uint64_t>(dict[i]);
+        putVarint(out, i == 0 ? zigzagEncode(dict[0]) : v - prev);
+        prev = v;
     }
 
     unsigned bits = 0;

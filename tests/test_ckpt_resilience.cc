@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "blastapp/runner.hh"
 #include "ckpt/checkpoint.hh"
 #include "store/file.hh"
@@ -29,7 +31,10 @@ using namespace tdfe::blast;
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    // Per-process names: ctest runs a fault_smoke subset of this
+    // binary alongside the full binary, and they must not share files.
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" +
+           name;
 }
 
 void
@@ -341,6 +346,7 @@ TEST(ResilientRun, CrashSweepIsBitExact)
         removeGenerations(prefix);
         std::remove(store.c_str());
     }
+    std::remove(ref_store.c_str());
 }
 
 TEST(ResilientRun, TornNewestGenerationStillRecovers)

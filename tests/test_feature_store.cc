@@ -27,6 +27,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "base/thread_pool.hh"
 #include "store/codec.hh"
 #include "store/file.hh"
@@ -100,7 +102,10 @@ expectRecordsEqual(const FeatureRecord &a, const FeatureRecord &b)
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    // Per-process names: ctest runs a fault_smoke subset of this
+    // binary alongside the full binary, and they must not share files.
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" +
+           name;
 }
 
 std::string

@@ -303,6 +303,46 @@ expectIntRoundTrip(const std::vector<std::int64_t> &vals)
     EXPECT_EQ(got, vals);
 }
 
+TEST(QueryCodec, DeltaColumnExtremesWrapByteExact)
+{
+    // Deltas between INT64_MIN and INT64_MAX exceed int64_t; they
+    // wrap modulo 2^64 in the encoder exactly as the decoder
+    // accumulates, so the bytes are pinned here: {MIN, MAX} is
+    // zigzag(MIN) = 2^64-1 (ten varint bytes) then a wrapped -1,
+    // {MAX, MIN} is zigzag(MAX) = 2^64-2 then a wrapped +1.
+    constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+    const std::vector<std::uint8_t> ff(9, 0xff);
+    std::vector<std::uint8_t> want = ff;
+    want.insert(want.end(), {0x01, 0x01});
+
+    const std::vector<std::int64_t> up{lo, hi};
+    std::vector<std::uint8_t> bytes;
+    store::encodeIntColumn(up.data(), up.size(), bytes);
+    EXPECT_EQ(bytes, want);
+
+    want = {0xfe};
+    want.insert(want.end(), ff.begin() + 1, ff.end());
+    want.insert(want.end(), {0x01, 0x02});
+    const std::vector<std::int64_t> down{hi, lo};
+    bytes.clear();
+    store::encodeIntColumn(down.data(), down.size(), bytes);
+    EXPECT_EQ(bytes, want);
+
+    // Every codec round-trips full-range swings, including a
+    // dictionary whose one gap (MAX - MIN) needs all 64 bits.
+    const std::vector<std::int64_t> swings{lo, hi, lo, 0, hi, -1, hi};
+    for (const auto *vals : {&up, &down, &swings}) {
+        bytes.clear();
+        store::encodeIntColumn(vals->data(), vals->size(), bytes);
+        std::vector<std::int64_t> got(vals->size(), 7);
+        EXPECT_TRUE(store::decodeIntColumn(bytes.data(), bytes.size(),
+                                           vals->size(), got.data()));
+        EXPECT_EQ(got, *vals);
+        expectIntRoundTrip(*vals);
+    }
+}
+
 TEST(QueryCodec, DictRleTaggedRoundTripHostileInputs)
 {
     expectIntRoundTrip({});

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "base/thread_pool.hh"
 #include "blastapp/runner.hh"
 #include "core/region.hh"
@@ -69,7 +71,10 @@ waveAnalysis()
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    // Per-process names: ctest runs a fault_smoke subset of this
+    // binary alongside the full binary, and they must not share files.
+    return ::testing::TempDir() + std::to_string(::getpid()) + "_" +
+           name;
 }
 
 /** Instrumented wave run writing a store; @return the store path. */
@@ -334,9 +339,13 @@ TEST(StoreSink, SchemaTooSmallIsFatal)
     region.addAnalysis(waveAnalysis()); // needs 3 coeff columns
     StoreSchema schema;
     schema.coeffCount = 2;
-    FeatureStoreWriter store(tempPath("small.tdfs"), schema);
-    EXPECT_DEATH(region.setFeatureStore(&store),
-                 "coefficient columns");
+    const std::string path = tempPath("small.tdfs");
+    {
+        FeatureStoreWriter store(path, schema);
+        EXPECT_DEATH(region.setFeatureStore(&store),
+                     "coefficient columns");
+    }
+    std::remove(path.c_str());
 }
 
 TEST(StoreMerge, RankOrderConcatenation)
