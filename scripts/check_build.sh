@@ -180,7 +180,9 @@ if [[ "${SKIP_TSAN:-0}" != 1 ]] &&
       test_parallel_for_tsan test_feature_store_tsan \
       test_store_query_tsan \
       test_ckpt_resilience_tsan test_faulty_comm_tsan \
-      test_store_live_tsan test_obs_tsan test_obs_determinism_tsan
+      test_store_live_tsan test_obs_tsan test_obs_determinism_tsan \
+      test_gravity_tsan test_sph_kernel_cells_tsan \
+      test_sph_system_tsan test_wdmerger_tsan
   cd build-tsan
   ctest --output-on-failure -L tsan_smoke
 else
@@ -202,7 +204,9 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_parallel_for_asan test_feature_store_asan \
       test_store_query_asan \
       test_ckpt_resilience_asan test_faulty_comm_asan \
-      test_store_live_asan test_obs_asan test_obs_determinism_asan
+      test_store_live_asan test_obs_asan test_obs_determinism_asan \
+      test_gravity_asan test_sph_kernel_cells_asan \
+      test_sph_system_asan test_wdmerger_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

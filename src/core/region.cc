@@ -83,7 +83,7 @@ Region::end()
     // degenerates to the synchronous path (the phase order —
     // snapshot, digest, protocol, all for iteration k — and thus
     // every result stays identical; only the execution moment moves).
-    if (asyncAnalyses_ && !serialAnalyses && !analyses.empty() &&
+    if (asyncAnalyses_ && !analyses.empty() &&
         ThreadPool::global().threadCount() > 1) {
         // Snapshot phase, synchronous and one analysis at a time:
         // the providers only ever run here, on the caller's thread,
@@ -112,24 +112,12 @@ Region::end()
             });
         epochOpen = true;
     } else {
-        // Synchronous ingest. Each analysis owns its
-        // collector/model/trainer, so the per-iteration ingest
-        // (sampling plus any training round) fans out across the
-        // pool. This invokes the variable providers concurrently
-        // (see td_var_provider_fn's thread-safety note);
-        // setSerialAnalyses() opts out for providers that are not
-        // pure reads. Single-analysis regions take the serial fast
-        // path inside parallelFor.
+        // Synchronous ingest, on the calling thread in registration
+        // order. The per-analysis ingests are microseconds each, far
+        // below what a pool fan-out costs to dispatch and join.
         static obs::Counter ingests("region.ingests_total");
-        if (serialAnalyses) {
-            for (auto &a : analyses)
-                a->onIteration(iter, domain);
-        } else {
-            parallelFor(analyses.size(), std::size_t{1},
-                        [&](std::size_t a) {
-                            analyses[a]->onIteration(iter, domain);
-                        });
-        }
+        for (auto &a : analyses)
+            a->onIteration(iter, domain);
         ingests.add(analyses.size());
         finishIteration(iter);
     }

@@ -155,17 +155,6 @@ class Region
     void setBlockingSync(bool blocking);
 
     /**
-     * Force the per-iteration analysis ingest back onto the calling
-     * thread. By default a region with several analyses fans their
-     * ingest (sampling + training) across the process-wide thread
-     * pool, which invokes the analyses' variable providers
-     * concurrently against the shared domain; providers that are
-     * not pure reads need this escape hatch. Takes precedence over
-     * setAsyncAnalyses().
-     */
-    void setSerialAnalyses(bool serial) { serialAnalyses = serial; }
-
-    /**
      * Pipeline the per-iteration ingest: end() invokes the
      * providers synchronously (on the calling thread, one analysis
      * at a time) to snapshot the probe values into reusable staging
@@ -177,11 +166,11 @@ class Region
      * (shouldStop(), analysis(), lastBroadcast(), wavefrontRank(),
      * overheadSeconds(), checkpoints), so extracted features, stop
      * decisions, and checkpoints are bitwise identical to the
-     * synchronous modes. setSerialAnalyses(true) wins over this
-     * flag and forces everything back on-thread, and a
-     * single-thread pool degenerates to the synchronous path (no
-     * worker to overlap onto, so deferring would only add queue
-     * bookkeeping).
+     * synchronous mode. Without this flag (the default) end() runs
+     * each analysis's whole ingest on the calling thread, one
+     * analysis at a time. A single-thread pool degenerates to that
+     * synchronous path (no worker to overlap onto, so deferring
+     * would only add queue bookkeeping).
      */
     void setAsyncAnalyses(bool async);
 
@@ -322,7 +311,6 @@ class Region
     bool stopFlag = false;
     long stopIter_ = -1;
     bool broadcastDone = false;
-    bool serialAnalyses = false;
     bool asyncAnalyses_ = false;
     bool relaxedStop_ = false;
     bool blockingSync_ = false;

@@ -5,9 +5,10 @@
  * 27 surrounding cells.
  *
  * Traversal is organised per *cell block*: the candidate set of the
- * 27 surrounding cells is gathered once per occupied cell and reused
- * for every member particle, amortizing the hash lookups that would
- * otherwise dominate the pair loops.
+ * 27 surrounding cells is gathered once per occupied cell and build,
+ * and reused for every member particle and every traversal until the
+ * next build(), amortizing the hash lookups that would otherwise
+ * dominate the pair loops.
  */
 
 #ifndef TDFE_SPH_CELL_LIST_HH
@@ -35,43 +36,6 @@ class CellList
     void build(const double *x, const double *y, const double *z,
                std::size_t n, double cell_size);
 
-    /** @return number of occupied cells (indexable via members()). */
-    std::size_t binCount() const { return bins.size(); }
-
-    /** @return member particle indices of occupied cell @p b. */
-    const std::vector<std::size_t> &
-    members(std::size_t b) const
-    {
-        return bins[b].members;
-    }
-
-    /**
-     * Gather the candidate neighbour indices of occupied cell @p b
-     * (every particle in its 27 surrounding cells) into @p out,
-     * replacing its contents. The caller owns @p out, so parallel
-     * traversals can keep one scratch buffer per task.
-     */
-    void
-    gatherCandidates(std::size_t b,
-                     std::vector<std::size_t> &out) const
-    {
-        const Bin &bin = bins[b];
-        out.clear();
-        for (std::int64_t dk = -1; dk <= 1; ++dk) {
-            for (std::int64_t dj = -1; dj <= 1; ++dj) {
-                for (std::int64_t di = -1; di <= 1; ++di) {
-                    const auto it = index.find(
-                        key(bin.ci + di, bin.cj + dj, bin.ck + dk));
-                    if (it == index.end())
-                        continue;
-                    const Bin &nb = bins[it->second];
-                    out.insert(out.end(), nb.members.begin(),
-                               nb.members.end());
-                }
-            }
-        }
-    }
-
     /**
      * Visit every occupied cell assigned to @p rank (cells are dealt
      * round-robin across @p nranks). @p fn receives the member
@@ -80,47 +44,39 @@ class CellList
      */
     template <typename Fn>
     void
-    forEachBlock(int rank, int nranks, Fn &&fn) const
+    forEachBlock(int rank, int nranks, Fn &&fn)
     {
-        std::vector<std::size_t> candidates;
-        for (std::size_t b = 0; b < bins.size(); ++b) {
-            if (static_cast<int>(b % static_cast<std::size_t>(
-                                         nranks)) != rank) {
-                continue;
-            }
-            gatherCandidates(b, candidates);
-            fn(bins[b].members, candidates);
+        for (std::size_t b = 0; b < used; ++b) {
+            if (ownedBy(b, rank, nranks))
+                fn(bins[b].members, candidates(b));
         }
     }
 
     /**
      * Parallel forEachBlock: occupied cells fan out across the
-     * global pool in chunks of @p grain, each task reusing one
-     * candidate buffer. Cells partition the particles, so @p fn
-     * invocations touch disjoint member sets; @p fn must only write
-     * per-member state. Visit order within a task matches the
-     * serial traversal, so per-particle results are identical for
-     * any thread count.
+     * global pool in chunks of @p grain. Cells partition the
+     * particles, so @p fn invocations touch disjoint member sets;
+     * @p fn must only write per-member state. Each cell's candidate
+     * list is gathered by the task that first visits the cell after
+     * build() and reused by every later traversal (the density pass
+     * fills it, the force pass reads it); a cell belongs to exactly
+     * one chunk, so no two tasks touch the same cache entry.
+     * Candidate order is that of the 27-cell scan, so per-particle
+     * results are identical for any thread count.
      */
     template <typename Fn>
     void
     forEachBlockParallel(int rank, int nranks, std::size_t grain,
-                         Fn &&fn) const
+                         Fn &&fn)
     {
-        parallelForRange(
-            bins.size(), grain,
-            [&](std::size_t bb, std::size_t be) {
-                std::vector<std::size_t> candidates;
-                for (std::size_t b = bb; b < be; ++b) {
-                    if (static_cast<int>(
-                            b % static_cast<std::size_t>(nranks)) !=
-                        rank) {
-                        continue;
-                    }
-                    gatherCandidates(b, candidates);
-                    fn(bins[b].members, candidates);
-                }
-            });
+        parallelForRange(used, grain,
+                         [&](std::size_t bb, std::size_t be) {
+                             for (std::size_t b = bb; b < be; ++b) {
+                                 if (ownedBy(b, rank, nranks))
+                                     fn(bins[b].members,
+                                        candidates(b));
+                             }
+                         });
     }
 
     /**
@@ -132,33 +88,72 @@ class CellList
     void
     forEachCandidate(double px, double py, double pz, Fn &&fn) const
     {
-        const std::int64_t ci = cellCoord(px);
-        const std::int64_t cj = cellCoord(py);
-        const std::int64_t ck = cellCoord(pz);
+        forEachNeighbourCell(cellCoord(px), cellCoord(py),
+                             cellCoord(pz), [&](const Bin &nb) {
+                                 for (const std::size_t idx :
+                                      nb.members)
+                                     fn(idx);
+                             });
+    }
+
+    /** @return number of occupied cells. */
+    std::size_t occupiedCells() const { return used; }
+
+  private:
+    struct Bin
+    {
+        std::int64_t ci = 0, cj = 0, ck = 0;
+        std::vector<std::size_t> members;
+        /** Every particle of the 27 surrounding cells, valid once
+         *  `gathered` is set. */
+        std::vector<std::size_t> cand;
+        bool gathered = false;
+    };
+
+    static bool
+    ownedBy(std::size_t b, int rank, int nranks)
+    {
+        return static_cast<int>(b % static_cast<std::size_t>(
+                                        nranks)) == rank;
+    }
+
+    /** Visit the occupied cells among the 27 around (ci,cj,ck), in
+     *  the fixed dk, dj, di scan order. */
+    template <typename Fn>
+    void
+    forEachNeighbourCell(std::int64_t ci, std::int64_t cj,
+                         std::int64_t ck, Fn &&fn) const
+    {
         for (std::int64_t dk = -1; dk <= 1; ++dk) {
             for (std::int64_t dj = -1; dj <= 1; ++dj) {
                 for (std::int64_t di = -1; di <= 1; ++di) {
                     const auto it =
                         index.find(key(ci + di, cj + dj, ck + dk));
-                    if (it == index.end())
-                        continue;
-                    for (const std::size_t idx :
-                         bins[it->second].members)
-                        fn(idx);
+                    if (it != index.end())
+                        fn(bins[it->second]);
                 }
             }
         }
     }
 
-    /** @return number of occupied cells. */
-    std::size_t occupiedCells() const { return bins.size(); }
-
-  private:
-    struct Bin
+    /** @return the candidate list of occupied cell @p b, gathered
+     *  on first use after build(). */
+    const std::vector<std::size_t> &
+    candidates(std::size_t b)
     {
-        std::int64_t ci, cj, ck;
-        std::vector<std::size_t> members;
-    };
+        Bin &bin = bins[b];
+        if (bin.gathered)
+            return bin.cand;
+        bin.cand.clear();
+        forEachNeighbourCell(bin.ci, bin.cj, bin.ck,
+                             [&](const Bin &nb) {
+                                 bin.cand.insert(bin.cand.end(),
+                                                 nb.members.begin(),
+                                                 nb.members.end());
+                             });
+        bin.gathered = true;
+        return bin.cand;
+    }
 
     std::int64_t
     cellCoord(double v) const
@@ -179,7 +174,10 @@ class CellList
     }
 
     double invCell = 1.0;
+    /** bins[0, used) are the occupied cells of the last build(); the
+     *  rest are spares whose (empty) vectors keep their capacity. */
     std::vector<Bin> bins;
+    std::size_t used = 0;
     std::unordered_map<std::uint64_t, std::size_t> index;
 };
 

@@ -14,7 +14,7 @@ namespace
 
 /** Target particles per parallel chunk (each costs O(n) or a tree
  *  walk, so chunks are small). */
-constexpr std::size_t gravGrain = 64;
+constexpr std::size_t gravGrain = 16;
 
 } // namespace
 
@@ -157,32 +157,48 @@ BarnesHutGravity::finalize(int node_idx, const ParticleSet &p)
 }
 
 void
+BarnesHutGravity::flatten(int node_idx)
+{
+    const Node &node = nodes[node_idx];
+    if (node.mass <= 0.0)
+        return;
+    const std::size_t k = walk.size();
+    const double size = 2.0 * node.half;
+    walk.push_back(WalkNode{node.mx, node.my, node.mz, node.mass,
+                            size * size, node.particle, 0});
+    // A leaf is always accepted (or skipped as the target's own),
+    // so only internal nodes descend.
+    if (node.particle < 0) {
+        for (int c = 7; c >= 0; --c) {
+            if (node.child[c] >= 0)
+                flatten(node.child[c]);
+        }
+    }
+    walk[k].next = static_cast<int>(walk.size());
+}
+
+void
 BarnesHutGravity::evaluate(const ParticleSet &p, std::size_t i,
                            double softening, double &ax, double &ay,
                            double &az, double &phi) const
 {
     const double eps2 = softening * softening;
-    // Explicit stack; recursion depth is fine but this is hotter.
-    int stack[128];
-    int top = 0;
-    stack[top++] = 0;
-    while (top > 0) {
-        const Node &node = nodes[stack[--top]];
-        if (node.mass <= 0.0)
-            continue;
+    const double theta2 = theta * theta;
+    const int self = static_cast<int>(i);
+    const int end = static_cast<int>(walk.size());
+    int k = 0;
+    while (k < end) {
+        const WalkNode &node = walk[k];
         const double dx = node.mx - p.x[i];
         const double dy = node.my - p.y[i];
         const double dz = node.mz - p.z[i];
         const double r2 = dx * dx + dy * dy + dz * dz;
 
-        const bool is_self_leaf =
-            node.particle == static_cast<int>(i);
-        if (is_self_leaf)
+        if (node.particle == self) {
+            k = node.next;
             continue;
-
-        const double size = 2.0 * node.half;
-        if (node.particle >= 0 ||
-            size * size < theta * theta * r2) {
+        }
+        if (node.particle >= 0 || node.size2 < theta2 * r2) {
             const double d2 = r2 + eps2;
             const double inv_r = 1.0 / std::sqrt(d2);
             const double inv_r3 = inv_r * inv_r * inv_r;
@@ -190,14 +206,10 @@ BarnesHutGravity::evaluate(const ParticleSet &p, std::size_t i,
             ay += node.mass * dy * inv_r3;
             az += node.mass * dz * inv_r3;
             phi -= node.mass * inv_r;
+            k = node.next;
             continue;
         }
-        for (int c : node.child) {
-            if (c >= 0) {
-                TDFE_ASSERT(top < 127, "BH stack overflow");
-                stack[top++] = c;
-            }
-        }
+        ++k;
     }
 }
 
@@ -224,6 +236,8 @@ BarnesHutGravity::accumulate(ParticleSet &p, double softening,
     for (std::size_t i = 0; i < n; ++i)
         insert(0, static_cast<int>(i), p, 0);
     finalize(0, p);
+    walk.clear();
+    flatten(0);
 
     if (end <= begin)
         return;

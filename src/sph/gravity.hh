@@ -50,6 +50,14 @@ class DirectGravity : public GravitySolver
 /**
  * Barnes-Hut octree with the standard opening-angle criterion
  * (s / d < theta accepts the node as a monopole).
+ *
+ * After each build the tree is flattened into walk records laid out
+ * in the visit order of a depth-first walk (pre-order, children
+ * 7 -> 0), each carrying the index one past its subtree. The
+ * per-particle walk is then a forward scan: opening a node is `++k`
+ * and accepting it (or skipping the target's own leaf) jumps to
+ * `next`. No stack is kept, so tree depth is bounded only by the
+ * build's depth limit.
  */
 class BarnesHutGravity : public GravitySolver
 {
@@ -83,16 +91,32 @@ class BarnesHutGravity : public GravitySolver
         double ex = 0.0, ey = 0.0, ez = 0.0;
     };
 
+    /** One node of the flattened walk. Massless subtrees are left
+     *  out: the walk skips them whole. */
+    struct WalkNode
+    {
+        /** Centre of mass and mass. */
+        double mx, my, mz, mass;
+        /** Squared cube edge, (2 half)^2. */
+        double size2;
+        /** Particle index for leaves (-1: internal). */
+        int particle;
+        /** Index one past this node's subtree. */
+        int next;
+    };
+
     int allocNode(double cx, double cy, double cz, double half);
     void insert(int node, int particle_idx, const ParticleSet &p,
                 int depth);
     void finalize(int node, const ParticleSet &p);
+    void flatten(int node);
     void evaluate(const ParticleSet &p, std::size_t i,
                   double softening, double &ax, double &ay,
                   double &az, double &phi) const;
 
     double theta;
     std::vector<Node> nodes;
+    std::vector<WalkNode> walk;
 };
 
 } // namespace tdfe

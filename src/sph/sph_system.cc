@@ -20,7 +20,7 @@ namespace
 constexpr double uFloor = 1e-10;
 
 /** Occupied cells per parallel chunk of the pair loops. */
-constexpr std::size_t binGrain = 8;
+constexpr std::size_t binGrain = 2;
 
 /** Particles per parallel chunk of the flat per-particle loops. */
 constexpr std::size_t particleGrain = 2048;

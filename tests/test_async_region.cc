@@ -4,13 +4,15 @@
  * defer) runs must produce bitwise-identical features, predictions,
  * stop iterations, and checkpoints to synchronous runs at every
  * thread count; queries must drain the in-flight epoch; and
- * setSerialAnalyses must still force everything on-thread.
+ * synchronous regions must keep the whole ingest on the calling
+ * thread.
  */
 
 #include <cmath>
 #include <gtest/gtest.h>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/serial.hh"
@@ -74,12 +76,11 @@ waveAnalysis(bool stopper)
     return ac;
 }
 
-enum class Mode { Serial, Fanout, Async };
+enum class Mode { Sync, Async };
 
 void
 applyMode(Region &region, Mode mode)
 {
-    region.setSerialAnalyses(mode == Mode::Serial);
     region.setAsyncAnalyses(mode == Mode::Async);
 }
 
@@ -155,13 +156,13 @@ class AsyncRegionTest : public ::testing::Test
 TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 80, false);
+    const RunOut ref = runWave(Mode::Sync, 80, false);
     ASSERT_GT(ref.rounds, 2u);
     ASSERT_GE(ref.convergedIter, 0);
 
     for (const int t : {1, 2, 4}) {
         setGlobalThreadCount(t);
-        for (const Mode mode : {Mode::Fanout, Mode::Async}) {
+        for (const Mode mode : {Mode::Sync, Mode::Async}) {
             const RunOut r = runWave(mode, 80, false);
             EXPECT_EQ(ref.feature, r.feature) << "threads " << t;
             EXPECT_EQ(ref.prediction, r.prediction)
@@ -178,7 +179,7 @@ TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 TEST_F(AsyncRegionTest, StopIterationAndQueriesIdenticalMidFlight)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 80, true);
+    const RunOut ref = runWave(Mode::Sync, 80, true);
     ASSERT_GE(ref.stopIter, 0)
         << "reference run never requested a stop";
 
@@ -219,32 +220,46 @@ TEST_F(AsyncRegionTest, QueriesDrainTheEpoch)
     EXPECT_FALSE(region.epochInFlight());
 }
 
-TEST_F(AsyncRegionTest, SerialAnalysesStillForcesOnThread)
+TEST_F(AsyncRegionTest, SyncIngestStaysOnTheCallingThread)
 {
+    // The last setAsyncAnalyses() call wins. A synchronous region
+    // runs every analysis's ingest, providers included, inside end()
+    // on the calling thread, also with several analyses on a
+    // multi-thread pool.
     setGlobalThreadCount(4);
     WaveDomain dom;
-    Region region("wave-serial", &dom);
+    Region region("wave-sync", &dom);
     region.setAsyncAnalyses(true);
-    region.setSerialAnalyses(true);
-    region.addAnalysis(waveAnalysis(false));
+    region.setAsyncAnalyses(false);
+    std::vector<std::thread::id> callers;
+    for (const bool stopper : {true, false}) {
+        AnalysisConfig ac = waveAnalysis(stopper);
+        ac.provider = [&callers](void *domain, long loc) {
+            callers.push_back(std::this_thread::get_id());
+            return waveProvider(domain, loc);
+        };
+        region.addAnalysis(ac);
+    }
 
     for (long k = 0; k < 20; ++k) {
         region.begin();
         dom.iter = k;
         region.end();
-        // Serial mode wins: the digest ran inside end(), no epoch
-        // was deferred.
+        // The digest ran inside end(); no epoch was deferred.
         EXPECT_FALSE(region.epochInFlight());
     }
+    ASSERT_FALSE(callers.empty());
+    for (const std::thread::id id : callers)
+        ASSERT_EQ(id, std::this_thread::get_id());
 
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 50, false);
+    const RunOut ref = runWave(Mode::Sync, 50, false);
     setGlobalThreadCount(4);
     const RunOut both = [&] {
         WaveDomain d2;
-        Region r2("wave-serial2", &d2);
+        Region r2("wave-sync2", &d2);
         r2.setAsyncAnalyses(true);
-        r2.setSerialAnalyses(true);
+        r2.setAsyncAnalyses(false);
         const std::size_t id = r2.addAnalysis(waveAnalysis(true));
         AnalysisConfig second = waveAnalysis(false);
         second.feature = FeatureKind::PeakValue;
@@ -369,7 +384,7 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
     setGlobalThreadCount(1);
     WaveDomain dref;
     Region serial("wave-ck", &dref);
-    serial.setSerialAnalyses(true);
+    serial.setAsyncAnalyses(false);
     serial.addAnalysis(waveAnalysis(true));
     std::stringstream serial_split;
     for (long k = 0; k < total; ++k) {

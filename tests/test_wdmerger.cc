@@ -4,8 +4,10 @@
  * merger, detonation, and the four diagnostics.
  */
 
+#include <cstdint>
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.hh"
 #include "wdmerger/app.hh"
 
 namespace
@@ -117,6 +119,73 @@ TEST(WdMergerApp, DeterministicAcrossRuns)
     ASSERT_EQ(ha.size(), hb.size());
     for (std::size_t i = 0; i < ha.size(); ++i)
         EXPECT_DOUBLE_EQ(ha[i], hb[i]);
+}
+
+/** FNV-1a over @p bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(const void *bytes, std::size_t len, std::uint64_t h)
+{
+    const auto *b = static_cast<const unsigned char *>(bytes);
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= b[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+template <typename T>
+std::uint64_t
+fnv1a(const std::vector<T> &v, std::uint64_t h)
+{
+    return fnv1a(v.data(), v.size() * sizeof(T), h);
+}
+
+/** Digest of a short resolution-6 run: every particle field plus
+ *  the four diagnostic histories, byte for byte. */
+std::uint64_t
+shortRunDigest()
+{
+    WdMergerConfig cfg = tinyConfig();
+    cfg.tEnd = 12.0;
+    WdMergerApp app(cfg);
+    while (!app.finished())
+        app.advanceDump();
+
+    const ParticleSet &p = app.system().particles();
+    std::uint64_t h = 14695981039346656037ull;
+    for (const std::vector<double> *field :
+         {&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz, &p.ax, &p.ay, &p.az,
+          &p.m, &p.u, &p.du, &p.rho, &p.p, &p.cs, &p.phi})
+        h = fnv1a(*field, h);
+    h = fnv1a(p.body, h);
+    for (int v = 0; v < numDiagVars; ++v)
+        h = fnv1a(app.history(static_cast<DiagVar>(v)), h);
+    return h;
+}
+
+// The SPH step's results must not depend on the thread count, and
+// restructuring its bookkeeping (neighbour caches, tree walk, chunk
+// grains) must leave every per-particle sum, operand by operand,
+// as it was: the constant is the digest of the reference build.
+// Fast-math builds (TDFE_NATIVE) reassociate sums, so only the
+// thread check applies to them. GCC leaves __FAST_MATH__ undefined
+// when -fno-finite-math-only follows -ffast-math, as it does there;
+// __ASSOCIATIVE_MATH__ still marks the reassociation.
+TEST(WdMergerApp, ShortRunDigestIsPinnedAtEveryThreadCount)
+{
+    const int before = globalThreadCount();
+    std::vector<std::uint64_t> digests;
+    for (const int t : {1, 2, 4}) {
+        setGlobalThreadCount(t);
+        digests.push_back(shortRunDigest());
+    }
+    setGlobalThreadCount(before);
+    EXPECT_EQ(digests[1], digests[0]) << "2 threads";
+    EXPECT_EQ(digests[2], digests[0]) << "4 threads";
+#if !defined(__FAST_MATH__) && !defined(__ASSOCIATIVE_MATH__)
+    EXPECT_EQ(digests[0], 0xc4880e29e757d258ull)
+        << std::hex << digests[0];
+#endif
 }
 
 } // namespace
