@@ -69,10 +69,11 @@ main(int argc, char **argv)
             // --store keeps one feature trace per (size,
             // threshold) cell for post-hoc inspection.
             if (!store.path.empty()) {
+                applyCliOptions(opt, store, CkptCliOptions(),
+                                ObsCliOptions());
                 opt.storePath = store.path + ".s" +
                                 std::to_string(size) + "t" +
                                 AsciiTable::fmt(pct, 2);
-                opt.storeAsync = store.async;
             }
             Timer rt;
             const blast::RunResult r =

@@ -56,9 +56,9 @@ stripFlag(int &argc, char **argv, const char *name)
     return false;
 }
 
-/** Shared run options for the reference and the resilient run. */
+/** Shared analysis of the reference and the resilient run. */
 RunOptions
-instrumentedOptions(long total_iters, const StoreCliOptions &store)
+instrumentedOptions(long total_iters)
 {
     RunOptions o;
     o.instrument = true;
@@ -73,10 +73,6 @@ instrumentedOptions(long total_iters, const StoreCliOptions &store)
     o.analysis.ar.order = 3;
     o.analysis.ar.lag = 2;
     o.analysis.ar.batchSize = 16;
-    o.storeAsync = store.async;
-    o.storeDurability = store.durability;
-    o.storeMergePolicy = store.mergePolicy;
-    o.storeLive = store.live;
     return o;
 }
 
@@ -117,8 +113,9 @@ main(int argc, char **argv)
         total = bare.iterations;
     }
 
-    // Reference: uninterrupted instrumented run.
-    RunOptions ref_opts = instrumentedOptions(total, storeCli);
+    // Reference: uninterrupted instrumented run, no checkpoints.
+    RunOptions ref_opts = instrumentedOptions(total);
+    applyCliOptions(ref_opts, storeCli, CkptCliOptions(), obsCli);
     if (!storeCli.path.empty())
         ref_opts.storePath = storeCli.path + ".reference";
     const RunResult ref = runBlast(config, nullptr, ref_opts);
@@ -132,14 +129,8 @@ main(int argc, char **argv)
     // the last pre-crash generation mid-payload, so the restore must
     // fall back to the previous good one — at the cost of replaying
     // a few more iterations, never of correctness.
-    RunOptions res_opts = instrumentedOptions(total, storeCli);
-    res_opts.storePath = storeCli.path; // empty: store disabled
-    res_opts.ckptPath = ckptCli.path;
-    res_opts.ckptEvery = ckptCli.every;
-    res_opts.ckptKeep = static_cast<int>(ckptCli.keep);
-    res_opts.ckptDurability = ckptCli.durability;
-    res_opts.resumeAuto = ckptCli.resumeAuto; // forced on by retries
-    res_opts.metricsEvery = obsCli.metricsEvery;
+    RunOptions res_opts = instrumentedOptions(total);
+    applyCliOptions(res_opts, storeCli, ckptCli, obsCli);
     res_opts.haltAfterIterations = total / 2;
     const std::uint64_t torn_gen = static_cast<std::uint64_t>(
         (total / 2 / ckptCli.every) * ckptCli.every);

@@ -59,26 +59,13 @@ main(int argc, char **argv)
         std::max<long>(1, reference.iterations / 20);
     stop.analysis.ar.convergeTol = 0.1;
     // --store <path> persists the per-iteration features of the
-    // instrumented run (--store-async flushes on the pool,
-    // --store-durability picks when sealed blocks hit the disk).
-    stop.storePath = store.path;
-    stop.storeAsync = store.async;
-    stop.storeDurability = store.durability;
-    stop.storeMergePolicy = store.mergePolicy;
-    stop.storeKeepParts = store.keepParts;
-    stop.storeLive = store.live;
-    // --ckpt <prefix> writes crash-safe checkpoint generations every
-    // --ckpt-every iterations; --resume-auto restores the newest
-    // valid one at startup (kill the run mid-flight and rerun with
-    // the same flags to see it pick up where it left off).
-    stop.ckptPath = ckpt.path;
-    stop.ckptEvery = ckpt.every;
-    stop.ckptKeep = static_cast<int>(ckpt.keep);
-    stop.ckptDurability = ckpt.durability;
-    stop.resumeAuto = ckpt.resumeAuto;
-    // --metrics-every prints a counter heartbeat from the run loop;
-    // --metrics-out / --trace-out dump the full telemetry at exit.
-    stop.metricsEvery = obsCli.metricsEvery;
+    // instrumented run; --ckpt <prefix> writes crash-safe checkpoint
+    // generations every --ckpt-every iterations and --resume-auto
+    // restores the newest valid one at startup (kill the run
+    // mid-flight and rerun with the same flags to see it pick up
+    // where it left off); --metrics-every prints a counter heartbeat
+    // from the run loop.
+    applyCliOptions(stop, store, ckpt, obsCli);
     const RunResult early = runBlast(config, nullptr, stop);
     if (!ckpt.path.empty()) {
         std::printf("checkpoints: %ld generations under %s\n",

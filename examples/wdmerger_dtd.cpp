@@ -36,21 +36,10 @@ main(int argc, char **argv)
     WdRunOptions options;
     options.instrument = true;
     options.trainFraction = 0.25;
-    options.storePath = store.path;
-    options.storeAsync = store.async;
-    options.storeDurability = store.durability;
-    options.storeMergePolicy = store.mergePolicy;
-    options.storeKeepParts = store.keepParts;
-    options.storeLive = store.live;
     // --ckpt <prefix> routes the instrumented run through the
     // resilient supervisor: crash-safe generations every
     // --ckpt-every dumps, auto-resume from the newest valid one.
-    options.ckptPath = ckpt.path;
-    options.ckptEvery = ckpt.every;
-    options.ckptKeep = static_cast<int>(ckpt.keep);
-    options.ckptDurability = ckpt.durability;
-    options.resumeAuto = ckpt.resumeAuto;
-    options.metricsEvery = obsCli.metricsEvery;
+    applyCliOptions(options, store, ckpt, obsCli);
 
     std::printf("running wdmerger at resolution %d...\n",
                 resolution);

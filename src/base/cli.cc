@@ -1,5 +1,6 @@
 #include "base/cli.hh"
 
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +13,38 @@
 
 namespace tdfe
 {
+
+namespace
+{
+
+/** Full-string base-10 integer parse (no trailing text, in range).
+ *  @return false when @p text is not exactly one integer. */
+bool
+toInt(const std::string &text, std::int64_t *out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long long n = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = static_cast<std::int64_t>(n);
+    return true;
+}
+
+/** Full-string floating-point parse; see toInt. */
+bool
+toDouble(const std::string &text, double *out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double d = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || errno == ERANGE)
+        return false;
+    *out = d;
+    return true;
+}
+
+} // namespace
 
 ArgParser::ArgParser(std::string description)
     : description(std::move(description))
@@ -96,6 +129,13 @@ ArgParser::parse(int argc, char **argv)
                 TDFE_FATAL("option --", name, " needs a value");
             value = argv[++i];
         }
+        std::int64_t n = 0;
+        double d = 0.0;
+        if ((it->second.kind == Kind::Int && !toInt(value, &n)) ||
+            (it->second.kind == Kind::Double &&
+             !toDouble(value, &d))) {
+            TDFE_FATAL("invalid --", name, " value '", value, "'");
+        }
         it->second.value = value;
     }
 }
@@ -117,16 +157,22 @@ ArgParser::getString(const std::string &name) const
     return lookup(name, Kind::String).value;
 }
 
+// parse() validated every value, and the defaults are written by
+// addInt/addDouble, so the conversions below cannot fail.
 std::int64_t
 ArgParser::getInt(const std::string &name) const
 {
-    return std::stoll(lookup(name, Kind::Int).value);
+    std::int64_t n = 0;
+    toInt(lookup(name, Kind::Int).value, &n);
+    return n;
 }
 
 double
 ArgParser::getDouble(const std::string &name) const
 {
-    return std::stod(lookup(name, Kind::Double).value);
+    double d = 0.0;
+    toDouble(lookup(name, Kind::Double).value, &d);
+    return d;
 }
 
 bool
@@ -141,9 +187,15 @@ ArgParser::parseIntList(const std::string &text)
     std::vector<std::int64_t> out;
     std::stringstream ss(text);
     std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::stoll(item));
+    while (std::getline(ss, item, ',')) {
+        std::int64_t n = 0;
+        if (item.empty())
+            continue;
+        if (!toInt(item, &n))
+            TDFE_FATAL("invalid integer '", item, "' in list '", text,
+                       "'");
+        out.push_back(n);
+    }
     return out;
 }
 
@@ -153,9 +205,15 @@ ArgParser::parseDoubleList(const std::string &text)
     std::vector<double> out;
     std::stringstream ss(text);
     std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::stod(item));
+    while (std::getline(ss, item, ',')) {
+        double d = 0.0;
+        if (item.empty())
+            continue;
+        if (!toDouble(item, &d))
+            TDFE_FATAL("invalid number '", item, "' in list '", text,
+                       "'");
+        out.push_back(d);
+    }
     return out;
 }
 
@@ -171,6 +229,8 @@ void
 applyThreadsOption(const ArgParser &args)
 {
     const std::int64_t n = args.getInt("threads");
+    if (n < 0 || n > INT_MAX)
+        TDFE_FATAL("invalid --threads value '", n, "'");
     if (n > 0)
         setGlobalThreadCount(static_cast<int>(n));
 }

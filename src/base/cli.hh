@@ -44,7 +44,9 @@ class ArgParser
 
     /**
      * Parse argv. Handles --help by printing usage and exiting 0.
-     * Fatal on unknown option names or missing values.
+     * Fatal on unknown option names, missing values, and integer or
+     * double values that are not one number in full ("abc", "4abc",
+     * out of range).
      */
     void parse(int argc, char **argv);
 
@@ -60,11 +62,13 @@ class ArgParser
     /** @return value of a registered flag. */
     bool getFlag(const std::string &name) const;
 
-    /** Parse a comma-separated integer list, e.g. "30,60,90". */
+    /** Parse a comma-separated integer list, e.g. "30,60,90" (empty
+     *  elements are skipped; any other non-integer is fatal). */
     static std::vector<std::int64_t>
     parseIntList(const std::string &text);
 
-    /** Parse a comma-separated double list, e.g. "0.1,0.2,0.5". */
+    /** Parse a comma-separated double list, e.g. "0.1,0.2,0.5" (as
+     *  parseIntList). */
     static std::vector<double> parseDoubleList(const std::string &text);
 
   private:
@@ -94,7 +98,8 @@ void addThreadsOption(ArgParser &args);
 /**
  * Apply a parsed `--threads` value (see addThreadsOption) to the
  * global pool. Call after parse() and before the first parallel
- * region; 0 leaves the environment sizing untouched.
+ * region; 0 leaves the environment sizing untouched, a negative
+ * value is fatal.
  */
 void applyThreadsOption(const ArgParser &args);
 

@@ -1,115 +1,16 @@
 #include "blastapp/runner.hh"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 
-#include "base/logging.hh"
-#include "base/serial.hh"
-#include "base/timer.hh"
-#include "ckpt/checkpoint.hh"
 #include "core/region.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "par/store_merge.hh"
 
 namespace tdfe
 {
 
 namespace blast
 {
-
-namespace
-{
-
-/** Writer knobs from the run flags — one builder so the per-rank
- *  parts, the rank-0 merge, and the crash-resume stitch all honor
- *  the same --store-async / --store-durability settings. */
-StoreOptions
-storeOptionsFrom(const RunOptions &options)
-{
-    StoreOptions store_options;
-    store_options.async = options.storeAsync;
-    store_options.durability =
-        store::parseDurabilityPolicy(options.storeDurability);
-    store_options.live = options.storeLive;
-    return store_options;
-}
-
-/**
- * Combined resume payload: the domain's hydro state plus (when
- * instrumented) the region's analysis/protocol state, in one byte
- * string the envelope frames with CRCs. The tag/version lets a
- * future layout change coexist with old checkpoints on disk.
- */
-std::string
-buildResumePayload(const Domain &domain, const Region *region)
-{
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    w.writeTag("TDRESUME");
-    w.writeU64(1); // payload format version
-    w.writeBool(region != nullptr);
-    domain.save(w);
-    if (region)
-        region->saveCheckpoint(os);
-    return os.str();
-}
-
-bool
-restoreResumePayload(const std::string &payload, Domain &domain,
-                     Region *region, std::string *error)
-{
-    std::istringstream is(payload, std::ios::binary);
-    BinaryReader r(is);
-    r.expectTag("TDRESUME");
-    const std::uint64_t version = r.readU64();
-    if (r.ok() && version != 1) {
-        r.fail("unsupported resume payload version " +
-               std::to_string(version));
-    }
-    const bool has_region = r.readBool();
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (has_region != (region != nullptr)) {
-        *error = "checkpoint instrumentation mismatch (saved "
-                 "with/without a region)";
-        return false;
-    }
-    domain.load(r);
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (region && !region->loadCheckpoint(is)) {
-        *error = region->checkpointError();
-        return false;
-    }
-    return true;
-}
-
-/** Write one generation; latch the first failure into the result. */
-void
-writeCheckpoint(ckpt::CheckpointSet &set, const Domain &domain,
-                const Region *region, RunResult &result)
-{
-    const std::string payload = buildResumePayload(domain, region);
-    if (set.save(static_cast<std::uint64_t>(domain.cycle()),
-                 payload)) {
-        ++result.checkpointsWritten;
-    }
-    // CheckpointSet::save warns (once) on the first failure; here we
-    // only latch the result bookkeeping.
-    if (set.degraded() && !result.ckptDegraded) {
-        result.ckptDegraded = true;
-        result.ckptError = set.status().message;
-    }
-}
-
-} // namespace
 
 RunResult
 runBlast(const BlastConfig &config, Communicator *comm,
@@ -122,10 +23,6 @@ runBlast(const BlastConfig &config, Communicator *comm,
     if (options.instrument) {
         region = std::make_unique<Region>("blast", &domain, comm);
         region->setSyncInterval(options.syncInterval);
-        region->setBlockingSync(options.blockingSync);
-        region->setAsyncAnalyses(options.asyncAnalyses);
-        region->setRelaxedStopQuery(options.relaxedStop);
-        region->setCommDeadline(options.commDeadlineSeconds);
         region->setRankOfLocation([&domain](long loc) {
             return domain.rankOfLocation(loc);
         });
@@ -136,61 +33,10 @@ runBlast(const BlastConfig &config, Communicator *comm,
         region->addAnalysis(std::move(ac));
     }
 
-    // Checkpointing, per rank: the rank's local state is its own
-    // restart data, exactly like its store part.
-    std::unique_ptr<ckpt::CheckpointSet> ckpt_set;
-    if (!options.ckptPath.empty()) {
-        ckpt_set = std::make_unique<ckpt::CheckpointSet>(
-            rankStorePath(options.ckptPath, comm ? comm->rank() : 0,
-                          comm ? comm->size() : 1),
-            options.ckptKeep,
-            store::parseDurabilityPolicy(options.ckptDurability));
-        if (options.ckptWriteHook)
-            ckpt_set->setWriteHook(options.ckptWriteHook);
-    }
-
-    if (options.resumeAuto && ckpt_set) {
-        std::string payload, from_path;
-        std::uint64_t at_iter = 0;
-        if (ckpt_set->openNewestValid(&payload, &at_iter,
-                                      &from_path)) {
-            std::string error;
-            if (restoreResumePayload(payload, domain, region.get(),
-                                     &error)) {
-                result.resumed = true;
-                result.resumedFromIteration =
-                    static_cast<long>(at_iter);
-                TDFE_INFORM("blast run: resumed from '", from_path,
-                            "' (iteration ", at_iter, ")");
-            } else {
-                // CRC-valid but unusable (e.g. written by a
-                // differently-instrumented run): start fresh rather
-                // than die — the checkpoint stays on disk for triage.
-                TDFE_WARN("blast run: checkpoint '", from_path,
-                          "' not usable (", error,
-                          "); starting from scratch");
-            }
-        }
-    }
-
-    std::unique_ptr<FeatureStoreWriter> store;
-    if (region && !options.storePath.empty()) {
-        store = attachRankStore(*region, options.storePath,
-                                options.analysis.ar.order + 1,
-                                storeOptionsFrom(options), comm);
-    }
-
     const bool gather = options.instrument || options.recordTrace;
-
-    long attempt_iters = 0;
-    obs::Heartbeat heartbeat(
-        static_cast<std::uint64_t>(std::max(options.metricsEvery,
-                                            0L)));
-    Timer timer;
-    while (!domain.finished()) {
-        if (region)
-            region->begin();
-
+    HarnessHooks sim;
+    sim.finished = [&] { return domain.finished(); };
+    sim.step = [&] {
         {
             static obs::Counter steps("solver.steps_total");
             obs::SpanTimer step("solver.step", "solver");
@@ -202,49 +48,19 @@ runBlast(const BlastConfig &config, Communicator *comm,
             domain.gatherProbes();
         if (options.recordTrace)
             result.trace.push_back(domain.probes());
-
-        if (region) {
-            region->end();
-            if (options.honorStop && region->shouldStop()) {
-                result.stoppedEarly = true;
-                break;
-            }
-        }
-
-        ++attempt_iters;
-        heartbeat.tick(static_cast<std::uint64_t>(domain.cycle()));
-        if (ckpt_set && options.ckptEvery > 0 &&
-            domain.cycle() % options.ckptEvery == 0) {
-            writeCheckpoint(*ckpt_set, domain, region.get(), result);
-        }
-        if (options.haltAfterIterations > 0 &&
-            attempt_iters >= options.haltAfterIterations) {
-            // Injected crash: leave without a final checkpoint,
-            // exactly what a kill -9 at this iteration leaves behind.
-            result.halted = true;
-            break;
-        }
-        if (ckpt::interruptRequested()) {
-            // Orderly shutdown: one final checkpoint so the resumed
-            // run restarts from this exact iteration, then fall
-            // through to the store seal below.
-            if (ckpt_set)
-                writeCheckpoint(*ckpt_set, domain, region.get(),
-                                result);
-            result.interrupted = true;
-            break;
-        }
-    }
-    result.seconds = timer.elapsed();
+    };
+    sim.iteration = [&] { return domain.cycle(); };
+    sim.save = [&](BinaryWriter &w) { domain.save(w); };
+    sim.load = [&](BinaryReader &r) { domain.load(r); };
+    runHarness(options, "blast", region.get(), comm,
+               options.analysis.ar.order + 1, sim, result);
 
     result.iterations = domain.cycle();
     result.initialVelocity = domain.initialVelocity();
     if (region) {
         const CurveFitAnalysis &a = region->analysis(0);
-        result.overheadSeconds = region->overheadSeconds();
         result.convergedIteration = a.convergedIteration();
         result.validationMse = a.lastValidationMse();
-        result.commDegraded = region->commDegraded();
         if (a.config().feature == FeatureKind::BreakpointRadius) {
             result.breakPoint = a.breakPoint();
             result.featureValue =
@@ -253,26 +69,6 @@ runBlast(const BlastConfig &config, Communicator *comm,
             result.featureValue = a.extractFeature();
         }
     }
-    if (ckpt_set && !result.ckptDegraded && ckpt_set->degraded()) {
-        result.ckptDegraded = true;
-        result.ckptError = ckpt_set->status().message;
-    }
-
-    if (store) {
-        // Every query above has drained the region, so no appends
-        // are pending.
-        result.storeDegraded =
-            region->featureStoreDegraded() || !store->ok();
-        RankMergeOptions merge;
-        merge.policy =
-            parseMergePolicy(options.storeMergePolicy);
-        merge.keepParts = options.storeKeepParts;
-        merge.storeOptions = storeOptionsFrom(options);
-        result.storeBytes = finishRankStore(
-            *region, std::move(store), options.storePath, comm,
-            merge);
-    }
-    result.report = obs::captureRunReport();
     return result;
 }
 
@@ -280,49 +76,10 @@ RunResult
 runBlastResilient(const BlastConfig &config, Communicator *comm,
                   const RunOptions &options)
 {
-    TDFE_ASSERT(!options.ckptPath.empty(),
-                "resilient runs need a checkpoint path");
-    const bool segmented = !options.storePath.empty();
-    TDFE_ASSERT(!segmented || !comm || comm->size() <= 1,
-                "segmented store stitching supports single-rank "
-                "runs only");
-
-    RunOptions attempt = options;
-    std::vector<std::string> segments;
-    int restarts = 0;
-    for (;;) {
-        if (segmented) {
-            attempt.storePath = options.storePath + ".seg" +
-                                std::to_string(segments.size());
-            segments.push_back(attempt.storePath);
-        }
-        RunResult result = runBlast(config, comm, attempt);
-        result.restarts = restarts;
-
-        if (result.halted && !ckpt::interruptRequested() &&
-            restarts < options.maxRestarts) {
-            ++restarts;
-            // The injected crash fires once; every retry resumes
-            // from the newest valid generation it left behind.
-            attempt.haltAfterIterations = 0;
-            attempt.resumeAuto = true;
-            TDFE_INFORM("blast supervisor: attempt crashed at "
-                        "iteration ", result.iterations,
-                        "; restarting (attempt ", restarts + 1, ")");
-            continue;
-        }
-
-        if (segmented) {
-            result.storeBytes = stitchSegmentStores(
-                segments, options.storePath,
-                storeOptionsFrom(options));
-            if (!options.storeKeepParts) {
-                for (const std::string &seg : segments)
-                    std::remove(seg.c_str());
-            }
-        }
-        return result;
-    }
+    return runResilient(options, comm, "blast",
+                        [&](const RunOptions &attempt) {
+                            return runBlast(config, comm, attempt);
+                        });
 }
 
 } // namespace blast

@@ -9,16 +9,12 @@
 #ifndef TDFE_BLASTAPP_RUNNER_HH
 #define TDFE_BLASTAPP_RUNNER_HH
 
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "blastapp/domain.hh"
-#include "ckpt/checkpoint.hh"
 #include "core/analysis.hh"
 #include "core/threshold.hh"
-#include "obs/report.hh"
+#include "par/run_harness.hh"
 
 namespace tdfe
 {
@@ -26,111 +22,24 @@ namespace tdfe
 namespace blast
 {
 
-/** What the harness should do around the bare simulation. */
-struct RunOptions
+/** What the harness should do around the bare simulation (the
+ *  shared knobs are documented on HarnessOptions). */
+struct RunOptions : HarnessOptions
 {
-    /** Attach a td region with one analysis. */
-    bool instrument = false;
-    /** Honour the region's early-termination request. */
-    bool honorStop = false;
     /** Record the full probe trace (ground-truth extraction). */
     bool recordTrace = false;
-    /** Pipeline the analysis ingest: snapshot at end(), digest on
-     *  the pool (results stay bitwise identical; see
-     *  Region::setAsyncAnalyses). The digest overlaps the next
-     *  solver step in non-stop runs; with honorStop the harness
-     *  polls shouldStop() every iteration, which drains the epoch
-     *  there — the stop still fires on the identical iteration, and
-     *  the drained digest runs on the pool workers, but nothing is
-     *  hidden under the solver. */
-    bool asyncAnalyses = false;
-    /** Relaxed stop query (see Region::setRelaxedStopQuery): the
-     *  per-iteration shouldStop() poll returns the last published
-     *  decision without draining the pipeline, so the digest keeps
-     *  overlapping the solver even with honorStop — at the cost of
-     *  stopping at most one iteration later. */
-    bool relaxedStop = false;
-    /** Reference mode: blocking collectives inside end() (the
-     *  pre-pipelined protocol; bench/rank_pipeline measures the
-     *  overlapped protocol against it). */
-    bool blockingSync = false;
     /** Analysis specification (provider is filled by the harness). */
     AnalysisConfig analysis;
     /** Iterations between collective stop syncs. */
     long syncInterval = 10;
-    /** Write extracted features to a trace store at this path
-     *  (empty: disabled; requires instrument). Under a multi-rank
-     *  communicator every rank writes "<path>.rk<rank>" and rank 0
-     *  merges them into <path> in rank order after the run. */
-    std::string storePath;
-    /** Flush store blocks on the thread pool (see StoreOptions). */
-    bool storeAsync = false;
-    /** Store durability policy: "none", "flush", or "fsync" (see
-     *  store::DurabilityPolicy; parsed at run time, fatal on other
-     *  values). */
-    std::string storeDurability = "none";
-    /** Rank-merge policy for unreadable parts: "fail" or "skip"
-     *  (see MergePolicy). */
-    std::string storeMergePolicy = "fail";
-    /** Keep per-rank store parts after the merge. */
-    bool storeKeepParts = false;
-    /** Publish a live manifest after sealed blocks so concurrent
-     *  tail readers can follow the run (see store/live.hh). Under a
-     *  multi-rank communicator the per-rank parts publish — a tail
-     *  follows "<path>.rk<rank>"; the merged store appears whole. */
-    bool storeLive = false;
-
-    /** Crash-safe checkpointing + auto-resume (the resilient
-     *  harness; see src/ckpt). @{ */
-    /** Checkpoint path prefix (empty: checkpointing disabled).
-     *  Generations land at "<prefix>.NNNNNN.tdck"; under a
-     *  multi-rank comm each rank uses "<prefix>.rk<rank>". */
-    std::string ckptPath;
-    /** Iterations between checkpoints (0: only on interrupt). */
-    long ckptEvery = 0;
-    /** Generations kept; >= 2 so a torn newest generation still
-     *  has a previous-good fallback. */
-    int ckptKeep = 3;
-    /** Checkpoint durability: "none", "flush", or "fsync". The
-     *  default is the paranoid one — checkpoints are restart data,
-     *  not an analysis artifact. */
-    std::string ckptDurability = "fsync";
-    /** Restore from the newest valid checkpoint before the loop
-     *  (no-op when none exists). */
-    bool resumeAuto = false;
-    /** Restart attempts runBlastResilient may consume after an
-     *  injected crash before giving up. */
-    int maxRestarts = 8;
-    /** Comm watchdog deadline for the region's stop protocol
-     *  (seconds; 0 disables). See Region::setCommDeadline. */
-    double commDeadlineSeconds = 0.0;
-    /** Iterations between metrics heartbeat lines (--metrics-every;
-     *  0 disables). Requires telemetry to be enabled (see
-     *  obs::setMetricsEnabled / applyObsFlags) to show non-zero
-     *  counters. */
-    long metricsEvery = 0;
-    /** Test seam: crash the attempt (leave the loop without a
-     *  final checkpoint, as a kill would) after this many loop
-     *  iterations of this attempt (0: disabled). */
-    long haltAfterIterations = 0;
-    /** Test seam: per-generation fault injection on checkpoint
-     *  writes (see CheckpointSet::setWriteHook). */
-    std::function<void(std::uint64_t, ckpt::WriteOptions &)>
-        ckptWriteHook;
-    /** @} */
 };
 
-/** Everything measured during one run. */
-struct RunResult
+/** Everything measured during one run (the shared measurements are
+ *  documented on HarnessResult). */
+struct RunResult : HarnessResult
 {
     /** Iterations executed. */
     long iterations = 0;
-    /** Wall-clock seconds of the whole loop. */
-    double seconds = 0.0;
-    /** Seconds the region spent inside the library. */
-    double overheadSeconds = 0.0;
-    /** True when the run terminated early on convergence. */
-    bool stoppedEarly = false;
     /** Iteration at which the model converged (-1: never). */
     long convergedIteration = -1;
     /** Peak probe velocity at location 1 (threshold reference). */
@@ -143,43 +52,6 @@ struct RunResult
     std::vector<std::vector<double>> trace;
     /** Validation MSE at the end of training. */
     double validationMse = 0.0;
-    /** Bytes of this rank's feature store (0: none written). */
-    std::size_t storeBytes = 0;
-    /** True when the feature sink degraded mid-run and was
-     *  detached (the physics above are still exact). */
-    bool storeDegraded = false;
-
-    /** Resilience bookkeeping (see RunOptions' ckpt knobs). @{ */
-    /** True when a SIGINT/SIGTERM stopped the loop (after an
-     *  orderly final checkpoint + store seal). */
-    bool interrupted = false;
-    /** True when the test seam crashed this attempt (no final
-     *  checkpoint — simulating a kill). */
-    bool halted = false;
-    /** True when this run restored state from a checkpoint. */
-    bool resumed = false;
-    /** Iteration the restored checkpoint was taken at (-1: none). */
-    long resumedFromIteration = -1;
-    /** Checkpoint generations written during the run. */
-    long checkpointsWritten = 0;
-    /** True when a checkpoint write failed (sticky; the run
-     *  continued — checkpoint I/O never fatals). */
-    bool ckptDegraded = false;
-    /** First checkpoint failure's message. */
-    std::string ckptError;
-    /** True when the comm watchdog fired: a stop-protocol
-     *  collective missed its deadline and the region fell back to
-     *  its last published decision (results unchanged — analyses
-     *  are replicated). */
-    bool commDegraded = false;
-    /** Restart attempts runBlastResilient consumed (0: the first
-     *  attempt completed). */
-    int restarts = 0;
-    /** @} */
-
-    /** End-of-run telemetry (empty unless metrics were enabled;
-     *  see src/obs and --metrics-out). */
-    obs::RunReport report;
 };
 
 /**
@@ -194,16 +66,9 @@ RunResult runBlast(const BlastConfig &config, Communicator *comm,
                    const RunOptions &options);
 
 /**
- * Auto-resume supervisor around runBlast: run attempts until one
- * completes, restoring each retry from the newest valid checkpoint
- * (requires options.ckptPath). An injected crash (haltAfterIterations)
- * consumes a restart; a real SIGINT/SIGTERM ends the supervision with
- * result.interrupted set. When a feature store is configured, each
- * attempt writes its own "<store>.seg<k>" segment and the segments
- * are stitched — dropping the post-checkpoint overlap re-recorded by
- * the resumed attempt — into options.storePath at the end, so the
- * final store is record-identical to an uninterrupted run
- * (single-rank only; the crash-sweep test relies on this).
+ * Auto-resume supervisor around runBlast (see runResilient; requires
+ * options.ckptPath, per-attempt store segments stitched into
+ * options.storePath, single-rank only).
  */
 RunResult runBlastResilient(const BlastConfig &config,
                             Communicator *comm,

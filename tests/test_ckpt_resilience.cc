@@ -4,9 +4,10 @@
  * trips, a crash-point sweep over every byte-offset class of the
  * atomic write (header / payload / trailing CRC / missed rename)
  * with fallback to the previous good generation, sticky degrade on
- * write errors, rotation, and the blast supervisor's crash sweep —
- * a resumed run must be bitwise identical to an uninterrupted one,
- * including the stitched feature store.
+ * write errors, rotation, and the supervisor's crash sweep over both
+ * paper cases (blast, wdmerger) — a resumed run must be bitwise
+ * identical to an uninterrupted one, including the stitched feature
+ * store.
  */
 
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include "ckpt/checkpoint.hh"
 #include "store/file.hh"
 #include "store/reader.hh"
+#include "wdmerger/runner.hh"
 
 namespace
 {
@@ -306,47 +308,135 @@ expectPhysicsEqual(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.validationMse, b.validationMse);
 }
 
-TEST(ResilientRun, CrashSweepIsBitExact)
+/** Crash-sweep input: paper Case 1, a small blast run. */
+struct BlastSweep
 {
-    const BlastConfig cfg = sweepBlast();
+    using Options = RunOptions;
+    using Result = RunResult;
+    const char *name = "blast";
+
+    Options
+    options(const std::string &store) const
+    {
+        return sweepOptions(200, store);
+    }
+    Result
+    run(const Options &o) const
+    {
+        return runBlast(sweepBlast(), nullptr, o);
+    }
+    Result
+    runResilient(const Options &o) const
+    {
+        return runBlastResilient(sweepBlast(), nullptr, o);
+    }
+    static long iterations(const Result &r) { return r.iterations; }
+    static void
+    expectEqual(const Result &a, const Result &b)
+    {
+        expectPhysicsEqual(a, b);
+    }
+};
+
+/** Crash-sweep input: paper Case 2, a small wdmerger run with its
+ *  four delay-time analyses. */
+struct WdSweep
+{
+    using Options = wd::WdRunOptions;
+    using Result = wd::WdRunResult;
+    const char *name = "wdmerger";
+
+    static wd::WdMergerConfig
+    config()
+    {
+        wd::WdMergerConfig cfg;
+        cfg.resolution = 6;
+        cfg.tEnd = 60.0;
+        cfg.relaxSteps = 40;
+        return cfg;
+    }
+    Options
+    options(const std::string &store) const
+    {
+        Options opts;
+        opts.instrument = true;
+        opts.trainFraction = 0.5;
+        opts.storePath = store;
+        return opts;
+    }
+    Result
+    run(const Options &o) const
+    {
+        return wd::runWdMerger(config(), nullptr, o);
+    }
+    Result
+    runResilient(const Options &o) const
+    {
+        return wd::runWdMergerResilient(config(), nullptr, o);
+    }
+    static long iterations(const Result &r) { return r.dumps; }
+    static void
+    expectEqual(const Result &a, const Result &b)
+    {
+        EXPECT_EQ(a.dumps, b.dumps);
+        EXPECT_EQ(a.sphSteps, b.sphSteps);
+        EXPECT_EQ(a.delayTime, b.delayTime);
+        EXPECT_EQ(a.convergedIteration, b.convergedIteration);
+        EXPECT_EQ(a.history, b.history);
+    }
+};
+
+/** Crash the supervised run at several points; the resumed run and
+ *  its stitched store must equal an uninterrupted one bit for bit. */
+template <class Case>
+void
+crashSweep(const Case &c)
+{
+    SCOPED_TRACE(c.name);
+    const std::string tag = std::string(c.name) + "_";
 
     // Uninterrupted reference with a store.
-    const std::string ref_store = tempPath("ref_sweep.tdfs");
-    RunOptions ref_opts = sweepOptions(200, ref_store);
-    const RunResult ref = runBlast(cfg, nullptr, ref_opts);
-    ASSERT_GT(ref.iterations, 20);
+    const std::string ref_store = tempPath(tag + "ref_sweep.tdfs");
+    const auto ref = c.run(c.options(ref_store));
+    ASSERT_GT(Case::iterations(ref), 20);
     const std::vector<FeatureRecord> ref_records =
         readRecords(ref_store);
     ASSERT_FALSE(ref_records.empty());
 
     // Crash points: before the first checkpoint (restart from
     // scratch), just after one, and deep into the run.
-    const long halts[] = {1, 7, ref.iterations / 2};
+    const long halts[] = {1, 7, Case::iterations(ref) / 2};
     for (const long halt : halts) {
         SCOPED_TRACE("halt after " + std::to_string(halt));
         const std::string prefix =
-            tempPath("sweep_halt" + std::to_string(halt));
-        const std::string store =
-            tempPath("sweep_halt" + std::to_string(halt) + ".tdfs");
+            tempPath(tag + "sweep_halt" + std::to_string(halt));
+        const std::string store = tempPath(
+            tag + "sweep_halt" + std::to_string(halt) + ".tdfs");
         removeGenerations(prefix);
 
-        RunOptions opts = sweepOptions(200, store);
+        auto opts = c.options(store);
         opts.ckptPath = prefix;
         opts.ckptEvery = 3;
         opts.ckptDurability = "none"; // speed; atomicity is separate
         opts.haltAfterIterations = halt;
-        const RunResult res = runBlastResilient(cfg, nullptr, opts);
+        const auto res = c.runResilient(opts);
 
         EXPECT_EQ(res.restarts, 1);
         EXPECT_FALSE(res.halted);
         if (halt >= 3)
             EXPECT_TRUE(res.resumed);
-        expectPhysicsEqual(res, ref);
+        Case::expectEqual(res, ref);
         expectRecordsEqual(readRecords(store), ref_records);
         removeGenerations(prefix);
         std::remove(store.c_str());
     }
     std::remove(ref_store.c_str());
+}
+
+TEST(ResilientRun, CrashSweepIsBitExact)
+{
+    crashSweep(BlastSweep());
+    crashSweep(WdSweep());
 }
 
 TEST(ResilientRun, TornNewestGenerationStillRecovers)

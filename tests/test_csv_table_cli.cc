@@ -134,4 +134,52 @@ TEST(CliDeathTest, MissingValueIsFatal)
                  "needs a value");
 }
 
+TEST(CliDeathTest, NonNumericIntIsFatal)
+{
+    ArgParser p("test");
+    addThreadsOption(p);
+    const char *argv[] = {"prog", "--threads", "abc"};
+    EXPECT_EXIT(p.parse(3, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "invalid --threads value 'abc'");
+}
+
+TEST(CliDeathTest, TrailingTextAfterIntIsFatal)
+{
+    ArgParser p("test");
+    addThreadsOption(p);
+    const char *argv[] = {"prog", "--threads=4abc"};
+    EXPECT_EXIT(p.parse(2, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "invalid --threads value '4abc'");
+}
+
+TEST(CliDeathTest, NegativeThreadsIsFatal)
+{
+    ArgParser p("test");
+    addThreadsOption(p);
+    const char *argv[] = {"prog", "--threads", "-2"};
+    p.parse(3, const_cast<char **>(argv));
+    EXPECT_EXIT(applyThreadsOption(p), ::testing::ExitedWithCode(1),
+                "invalid --threads value '-2'");
+}
+
+TEST(CliDeathTest, BadDoubleIsFatal)
+{
+    ArgParser p("test");
+    p.addDouble("ratio", 0.5, "a ratio");
+    const char *argv[] = {"prog", "--ratio", "0.5x"};
+    EXPECT_EXIT(p.parse(3, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "invalid --ratio value '0.5x'");
+}
+
+TEST(CliDeathTest, BadListElementIsFatal)
+{
+    EXPECT_EXIT(ArgParser::parseIntList("30,6o,90"),
+                ::testing::ExitedWithCode(1), "invalid integer '6o'");
+    EXPECT_EXIT(ArgParser::parseDoubleList("0.1,abc"),
+                ::testing::ExitedWithCode(1), "invalid number 'abc'");
+}
+
 } // namespace
