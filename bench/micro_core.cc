@@ -3,12 +3,12 @@
  * Microbenchmarks (google-benchmark) for the in-situ hot path: the
  * per-iteration collector cost, one GD training round, and one
  * model prediction. These are the numbers behind the "minimal
- * performance impact" claim.
+ * performance impact" claim. google-benchmark owns the command
+ * line (--benchmark_*); size the thread pool with TDFE_NUM_THREADS.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "base/cli.hh"
 #include "clover2d/solver.hh"
 #include "core/ar_model.hh"
 #include "core/changepoint.hh"
@@ -141,16 +141,4 @@ BM_CloverCycle(benchmark::State &state)
 }
 BENCHMARK(BM_CloverCycle)->Arg(32)->Arg(64);
 
-// Hand-rolled BENCHMARK_MAIN so the shared --threads flag can size
-// the global pool before google-benchmark sees (and would reject)
-// the unknown option.
-int
-main(int argc, char **argv)
-{
-    tdfe::applyThreadsFlag(argc, argv);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    return 0;
-}
+BENCHMARK_MAIN();

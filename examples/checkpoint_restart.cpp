@@ -11,10 +11,11 @@
  * iterations as an uninterrupted one, and — with --store — the
  * stitched feature store is record-identical too.
  *
- * Flags (beyond the shared --threads/--store family):
+ * Options (`--help` lists them all, with the shared --threads,
+ * --store*, --ckpt* and telemetry families):
  *   --ckpt <prefix>       checkpoint path prefix
- *                         (default blast_region, cwd)
- *   --ckpt-every <n>      iterations between generations (default 5)
+ *                         (empty: blast_region, cwd)
+ *   --ckpt-every <n>      iterations between generations (0: 5)
  *   --ckpt-keep <n>       generations kept (default 3)
  *   --ckpt-durability <p> none | flush | fsync
  *   --keep-ckpt           leave the generations + manifest on disk
@@ -26,7 +27,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "base/cli.hh"
@@ -40,21 +40,6 @@ using namespace tdfe::blast;
 
 namespace
 {
-
-/** Consume a boolean flag from argv (true when present). */
-bool
-stripFlag(int &argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) != 0)
-            continue;
-        for (int j = i; j + 1 < argc; ++j)
-            argv[j] = argv[j + 1];
-        --argc;
-        return true;
-    }
-    return false;
-}
 
 /** Shared analysis of the reference and the resilient run. */
 RunOptions
@@ -90,12 +75,27 @@ recordCount(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions storeCli = applyStoreFlags(argc, argv);
-    CkptCliOptions ckptCli = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
-    const bool keep_ckpt = stripFlag(argc, argv, "--keep-ckpt");
-    const bool tear_newest = stripFlag(argc, argv, "--tear-newest");
+    ArgParser args("Crash a checkpointed blast run mid-flight, "
+                   "auto-resume it, and check it matches an "
+                   "uninterrupted run");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.addFlag("keep-ckpt",
+                 "leave the checkpoint generations and manifest on "
+                 "disk");
+    args.addFlag("tear-newest",
+                 "tear the last pre-crash generation mid-payload so "
+                 "the resume falls back to an older one");
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const StoreCliOptions storeCli = storeOptions(args);
+    CkptCliOptions ckptCli = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
+    const bool keep_ckpt = args.getFlag("keep-ckpt");
+    const bool tear_newest = args.getFlag("tear-newest");
     if (ckptCli.path.empty())
         ckptCli.path = "blast_region";
     if (ckptCli.every <= 0)

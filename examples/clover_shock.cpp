@@ -14,10 +14,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "clover2d/app.hh"
 #include "core/region.hh"
 #include "obs/report.hh"
@@ -30,15 +30,28 @@ using namespace tdfe::clover;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions storeCli = applyStoreFlags(argc, argv);
+    ArgParser args("2D CloverLeaf-style blast with an in-situ "
+                   "break-point analysis and a threshold table");
+    args.addInt("size", 48,
+                "grid edge in cells, 20..4096 (the analysis samples "
+                "probes 1..20)");
+    addThreadsOption(args);
+    addStoreOptions(args);
     // --metrics-out <file> snapshots every counter at exit,
     // --trace-out <file> records spans for Perfetto, and
     // --metrics-every <n> prints a heartbeat line from the loop.
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t size = args.getInt("size");
+    if (size < 20 || size > 4096)
+        TDFE_FATAL("--size must be in 20..4096, got ", size);
+    applyThreadsOption(args);
+    const StoreCliOptions storeCli = storeOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     CloverAppConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 48;
+    config.size = static_cast<int>(size);
     config.blastEnergy = 2.0;
 
     CloverField field(config);

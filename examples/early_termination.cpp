@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "blastapp/runner.hh"
 
 using namespace tdfe;
@@ -16,13 +17,27 @@ using namespace tdfe::blast;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions store = applyStoreFlags(argc, argv);
-    const CkptCliOptions ckpt = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("Blast run to completion, then again with the "
+                   "analysis allowed to stop it early");
+    args.addInt("size", 24,
+                "cube edge in cells, 10..256 (the analysis samples "
+                "probes 1..10)");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t size = args.getInt("size");
+    if (size < 10 || size > 256)
+        TDFE_FATAL("--size must be in 10..256, got ", size);
+    applyThreadsOption(args);
+    const StoreCliOptions store = storeOptions(args);
+    const CkptCliOptions ckpt = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     BlastConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 24;
+    config.size = static_cast<int>(size);
 
     // Full run, recording the trace for reference.
     RunOptions full;

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "base/cli.hh"
@@ -35,11 +34,28 @@ using namespace tdfe::wd;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("Ensemble of white-dwarf mergers over a "
+                   "flat-in-log separation population, assembled into "
+                   "a delay-time distribution");
+    args.addInt("count", 8, "ensemble members, 1..1000");
+    args.addInt("resolution", 6,
+                "lattice points across a stellar diameter, 4..32");
+    addThreadsOption(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t count64 = args.getInt("count");
+    const std::int64_t resolution64 = args.getInt("resolution");
+    if (count64 < 1 || count64 > 1000)
+        TDFE_FATAL("--count must be in 1..1000, got ", count64);
+    if (resolution64 < 4 || resolution64 > 32)
+        TDFE_FATAL("--resolution must be in 4..32, got ",
+                   resolution64);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
-    const int count = argc > 1 ? std::atoi(argv[1]) : 8;
-    const int resolution = argc > 2 ? std::atoi(argv[2]) : 6;
+    const int count = static_cast<int>(count64);
+    const int resolution = static_cast<int>(resolution64);
     setLogQuiet(true);
 
     // Flat-in-log separations between a_min and a_max.

@@ -12,10 +12,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "core/region.hh"
 #include "lagrangian/solver1d.hh"
 
@@ -24,11 +24,21 @@ using namespace tdfe;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("1D spherical Lagrangian blast with an async "
+                   "in-situ break-point analysis");
+    args.addInt("zones", 60, "radial zones, 5..100000");
+    addThreadsOption(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t zones = args.getInt("zones");
+    if (zones < 5 || zones > 100000)
+        TDFE_FATAL("--zones must be in 5..100000, got ", zones);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     Lagrangian1Config config;
-    config.zones = argc > 1 ? std::atoi(argv[1]) : 60;
+    config.zones = static_cast<int>(zones);
     config.length = static_cast<double>(config.zones);
     const double stop_radius = 0.9 * config.length;
 

@@ -29,6 +29,8 @@
 #include <thread>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
+#include "store/format.hh"
 #include "store/live.hh"
 #include "store/manifest.hh"
 #include "store/query.hh"
@@ -59,6 +61,11 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getInt("block"));
     const std::string path = args.getString("store");
     const long delay_us = args.getInt("delay-us");
+    // A negative --block wraps to a huge size_t, caught by the cap.
+    if (total < 1 || block < 1 || block > store::maxBlockCapacity ||
+        delay_us < 0)
+        TDFE_FATAL("need --records >= 1, --block in 1..",
+                   store::maxBlockCapacity, " and --delay-us >= 0");
     constexpr std::size_t n_coeffs = 3;
 
     // Writer side: synthetic feature records shaped like the blast

@@ -7,9 +7,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "blastapp/domain.hh"
 #include "core/td_api.h"
 
@@ -27,19 +27,30 @@ td_var_provider(void *loc_dom, int loc)
 int
 main(int argc, char **argv)
 {
-    tdfe::applyThreadsFlag(argc, argv);
+    tdfe::ArgParser args("Paper Fig. 2: the C API on the LULESH-shaped "
+                         "blast app, extracting the material "
+                         "break-point radius");
+    args.addInt("size", 24,
+                "cube edge in cells, 10..256 (the analysis samples "
+                "probes 1..10)");
+    tdfe::addThreadsOption(args);
+    tdfe::addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t size = args.getInt("size");
+    if (size < 10 || size > 256)
+        TDFE_FATAL("--size must be in 10..256, got ", size);
+    tdfe::applyThreadsOption(args);
     // Telemetry through the C API: --metrics-out/--trace-out parse
     // here, but enable/export go through td_metrics_* / td_trace_*
     // exactly as a C simulation would call them.
-    const tdfe::ObsCliOptions obsCli =
-        tdfe::applyObsFlags(argc, argv);
+    const tdfe::ObsCliOptions obsCli = tdfe::obsOptions(args);
     if (obsCli.enabled())
         td_metrics_enable(1);
     if (!obsCli.traceOut.empty())
         td_trace_enable(1);
 
     BlastConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 24;
+    config.size = static_cast<int>(size);
 
     Domain *locDom = new Domain(config);
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "postproc/ground_truth.hh"
 #include "wdmerger/dtd.hh"
 #include "wdmerger/runner.hh"
@@ -21,18 +22,29 @@ using namespace tdfe::wd;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions store = applyStoreFlags(argc, argv);
-    const CkptCliOptions ckpt = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
-
-    const int resolution = argc > 1 ? std::atoi(argv[1]) : 8;
+    ArgParser args("White-dwarf merger with four in-situ delay-time "
+                   "analyses, plus a small delay-time distribution");
+    args.addInt("resolution", 8,
+                "lattice points across a stellar diameter, 4..32");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    const std::int64_t resolution = args.getInt("resolution");
+    if (resolution < 4 || resolution > 32)
+        TDFE_FATAL("--resolution must be in 4..32, got ", resolution);
+    applyThreadsOption(args);
+    const StoreCliOptions store = storeOptions(args);
+    const CkptCliOptions ckpt = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     // One instrumented run: delay time per diagnostic. With
     // --store <path> the four analyses' per-dump features land in a
     // trace store (--store-async flushes on the pool).
     WdMergerConfig config;
-    config.resolution = resolution;
+    config.resolution = static_cast<int>(resolution);
     WdRunOptions options;
     options.instrument = true;
     options.trainFraction = 0.25;
@@ -42,7 +54,7 @@ main(int argc, char **argv)
     applyCliOptions(options, store, ckpt, obsCli);
 
     std::printf("running wdmerger at resolution %d...\n",
-                resolution);
+                config.resolution);
     const WdRunResult r =
         ckpt.path.empty()
             ? runWdMerger(config, nullptr, options)

@@ -1,8 +1,10 @@
 /**
  * @file
- * Small command-line parser shared by examples and bench binaries.
+ * Command-line parser shared by the examples and bench binaries.
  * Supports `--name value`, `--name=value`, and boolean `--flag`
- * options, with typed accessors and generated --help text.
+ * options, with typed accessors and generated --help text. Each
+ * shared option family has one registration (add*Options) and one
+ * reader (*Options).
  */
 
 #ifndef TDFE_BASE_CLI_HH
@@ -15,6 +17,14 @@
 
 namespace tdfe
 {
+
+/** Full-string base-10 integer parse (no trailing text, in range),
+ *  for command-line values parsed outside ArgParser (tdfstool).
+ *  @return false when @p text is not exactly one integer. */
+bool toInt(const std::string &text, std::int64_t *out);
+
+/** Full-string floating-point parse; see toInt. */
+bool toDouble(const std::string &text, double *out);
 
 /**
  * Declarative option registry plus parser. Options are registered
@@ -104,18 +114,8 @@ void addThreadsOption(ArgParser &args);
 void applyThreadsOption(const ArgParser &args);
 
 /**
- * Raw-argv variant for binaries without an ArgParser (examples,
- * google-benchmark mains): strip `--threads <n>` / `--threads=<n>`
- * from argv, resize the global pool accordingly, and leave every
- * other argument in place for the program's own parsing.
- *
- * @return the thread count applied, or 0 when the flag was absent.
- */
-int applyThreadsFlag(int &argc, char **argv);
-
-/**
  * Feature-trace-store request parsed from the command line, shared
- * by every app front end (same pattern as the --threads helpers).
+ * by every app front end.
  */
 struct StoreCliOptions
 {
@@ -158,13 +158,6 @@ void addStoreOptions(ArgParser &args);
 StoreCliOptions storeOptions(const ArgParser &args);
 
 /**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * --store* options (see addStoreOptions) from argv, leaving every
- * other argument for the program's own parsing.
- */
-StoreCliOptions applyStoreFlags(int &argc, char **argv);
-
-/**
  * Crash-safe-checkpoint request parsed from the command line (the
  * resilient-harness knobs; see src/ckpt and the runners'
  * RunOptions).
@@ -197,15 +190,9 @@ struct CkptCliOptions
  */
 void addCkptOptions(ArgParser &args);
 
-/** Read the parsed --ckpt* / --resume-auto values. */
+/** Read the parsed --ckpt* / --resume-auto values (fatal on a
+ *  negative --ckpt-every or --ckpt-keep). */
 CkptCliOptions ckptOptions(const ArgParser &args);
-
-/**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * checkpoint options (see addCkptOptions) from argv, leaving every
- * other argument for the program's own parsing.
- */
-CkptCliOptions applyCkptFlags(int &argc, char **argv);
 
 /**
  * Telemetry request parsed from the command line (src/obs), shared
@@ -242,16 +229,9 @@ struct ObsCliOptions
  */
 void addObsOptions(ArgParser &args);
 
-/** Read the parsed --metrics-* and --trace-out values. */
+/** Read the parsed --metrics-* and --trace-out values (fatal on a
+ *  negative --metrics-every). */
 ObsCliOptions obsOptions(const ArgParser &args);
-
-/**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * telemetry options (see addObsOptions) from argv, leaving every
- * other argument for the program's own parsing, and enable
- * metric/span recording per the request (see applyObsOptions).
- */
-ObsCliOptions applyObsFlags(int &argc, char **argv);
 
 /**
  * Enable metric accumulation when @p opts requests any telemetry

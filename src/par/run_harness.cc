@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 
@@ -271,13 +272,16 @@ std::size_t
 detail::stitchAttemptSegments(const std::vector<std::string> &segments,
                       const HarnessOptions &options)
 {
-    const std::size_t records = stitchSegmentStores(
-        segments, options.storePath, storeOptionsFrom(options));
+    stitchSegmentStores(segments, options.storePath,
+                        storeOptionsFrom(options));
     if (!options.storeKeepParts) {
         for (const std::string &seg : segments)
             std::remove(seg.c_str());
     }
-    return records;
+    std::error_code ec;
+    const std::uintmax_t bytes =
+        std::filesystem::file_size(options.storePath, ec);
+    return ec ? 0 : static_cast<std::size_t>(bytes);
 }
 
 } // namespace tdfe

@@ -113,7 +113,7 @@ struct HarnessOptions
     double commDeadlineSeconds = 0.0;
     /** Iterations between metrics heartbeat lines (--metrics-every;
      *  0 disables). Requires telemetry to be enabled (see
-     *  obs::setMetricsEnabled / applyObsFlags) to show non-zero
+     *  obs::setMetricsEnabled / applyObsOptions) to show non-zero
      *  counters. */
     long metricsEvery = 0;
     /** Test seam: crash the attempt (leave the loop without a
@@ -227,7 +227,7 @@ void checkResilientOptions(const HarnessOptions &options,
 /**
  * Stitch runResilient's per-attempt store segments into
  * options.storePath (see stitchSegmentStores) and remove them
- * unless storeKeepParts. @return records in the stitched store.
+ * unless storeKeepParts. @return bytes of the stitched store file.
  */
 std::size_t stitchAttemptSegments(
     const std::vector<std::string> &segments,

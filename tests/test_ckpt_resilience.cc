@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <memory>
 #include <string>
@@ -427,6 +428,7 @@ crashSweep(const Case &c)
             EXPECT_TRUE(res.resumed);
         Case::expectEqual(res, ref);
         expectRecordsEqual(readRecords(store), ref_records);
+        EXPECT_EQ(res.storeBytes, std::filesystem::file_size(store));
         removeGenerations(prefix);
         std::remove(store.c_str());
     }

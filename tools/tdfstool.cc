@@ -44,7 +44,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -55,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "base/cli.hh"
 #include "ckpt/checkpoint.hh"
 #include "obs/json.hh"
 #include "store/live.hh"
@@ -322,9 +322,8 @@ columnValue(const FeatureRecord &rec, const std::string &name,
         return true;
     }
     if (name.rfind("coef", 0) == 0) {
-        char *end = nullptr;
-        const long k = std::strtol(name.c_str() + 4, &end, 10);
-        if (end != name.c_str() + 4 && *end == '\0' && k >= 0 &&
+        std::int64_t k = 0;
+        if (tdfe::toInt(name.substr(4), &k) && k >= 0 &&
             static_cast<std::size_t>(k) < rec.coeffs.size()) {
             v = rec.coeffs[static_cast<std::size_t>(k)];
             return true;
@@ -348,22 +347,31 @@ consumeFilterArg(int argc, char **argv, int &i,
     if (arg == "--iter" && i + 1 < argc) {
         const std::string spec = argv[++i];
         const std::size_t colon = spec.find(':');
-        if (colon == std::string::npos) {
+        const std::string lo = spec.substr(0, colon);
+        const std::string hi = colon == std::string::npos
+                                   ? std::string()
+                                   : spec.substr(colon + 1);
+        if (colon == std::string::npos ||
+            (!lo.empty() && !tdfe::toInt(lo, &filter.iterBegin)) ||
+            (!hi.empty() && !tdfe::toInt(hi, &filter.iterEnd))) {
             std::fprintf(stderr,
-                         "tdfstool: --iter wants a:b, got '%s'\n",
+                         "tdfstool: --iter wants a:b (integers, "
+                         "either may be empty), got '%s'\n",
                          spec.c_str());
             return -1;
         }
-        const std::string lo = spec.substr(0, colon);
-        const std::string hi = spec.substr(colon + 1);
-        if (!lo.empty())
-            filter.iterBegin = std::atoll(lo.c_str());
-        if (!hi.empty())
-            filter.iterEnd = std::atoll(hi.c_str());
         return 1;
     }
     if (arg == "--analysis" && i + 1 < argc) {
-        filter.analysisIs(std::atoll(argv[++i]));
+        std::int64_t id = 0;
+        if (!tdfe::toInt(argv[++i], &id)) {
+            std::fprintf(stderr,
+                         "tdfstool: --analysis wants an integer, "
+                         "got '%s'\n",
+                         argv[i]);
+            return -1;
+        }
+        filter.analysisIs(id);
         return 1;
     }
     if (arg == "--stop" && i + 1 < argc) {
@@ -555,7 +563,7 @@ cmdTail(int argc, char **argv)
     tdfe::EventFilter filter;
     std::string project;
     double stall = 10.0;
-    long max_records = -1;
+    std::int64_t max_records = -1;
     for (int i = 3; i < argc; ++i) {
         const int took =
             consumeFilterArg(argc, argv, i, filter, project);
@@ -565,9 +573,21 @@ cmdTail(int argc, char **argv)
             continue;
         const std::string arg = argv[i];
         if (arg == "--stall" && i + 1 < argc) {
-            stall = std::atof(argv[++i]);
+            if (!tdfe::toDouble(argv[++i], &stall)) {
+                std::fprintf(stderr,
+                             "tdfstool: --stall wants seconds, got "
+                             "'%s'\n",
+                             argv[i]);
+                return 1;
+            }
         } else if (arg == "--max" && i + 1 < argc) {
-            max_records = std::atoll(argv[++i]);
+            if (!tdfe::toInt(argv[++i], &max_records)) {
+                std::fprintf(stderr,
+                             "tdfstool: --max wants an integer, got "
+                             "'%s'\n",
+                             argv[i]);
+                return 1;
+            }
         } else {
             return usage();
         }
